@@ -30,22 +30,16 @@ CI runs it in the ``serve-chaos`` job and uploads both out directories.
 """
 
 import json
-import signal
 import subprocess
 import sys
 import threading
 import time
 from pathlib import Path
 
+from drill import drain, start_server
 from repro.faults import load_plan
 from repro.parallel import parallel_join
-from repro.serve import (
-    QuerySpec,
-    ServeClient,
-    read_port_file,
-    result_digest,
-    wait_for_server,
-)
+from repro.serve import QuerySpec, ServeClient, result_digest
 
 WORKERS = 2
 FAULT_SEED = 3
@@ -53,6 +47,7 @@ FAULT_PAIRS = 8  # matches the specs' default partitions (workers * 4)
 HANG_S = 4.0
 DEADLINE_S = 1.5
 DEADLINE_GRACE_S = 3.0  # poll slice + pool abandonment + reject write
+ADMISSION = ("--max-inflight", "2", "--max-queue", "8")
 
 STALLED = {"dataset": "road_hydro", "scale": 0.004, "workers": WORKERS}
 NEIGHBOUR = {"dataset": "road_rail", "scale": 0.004, "workers": WORKERS}
@@ -67,37 +62,6 @@ def one_shot_digest(fields):
         backend="process", workers=spec.workers,
     )
     return result_digest(result.pairs)
-
-
-def start_server(out, *extra):
-    out.mkdir(parents=True, exist_ok=True)
-    port_file = out / "port.txt"
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--cache-dir", str(out / "cache"),
-            "--out", str(out),
-            "--port-file", str(port_file),
-            "--workers", str(WORKERS),
-            "--max-inflight", "2",
-            "--max-queue", "8",
-            *extra,
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-    )
-    port = read_port_file(port_file, timeout_s=60.0)
-    wait_for_server("127.0.0.1", port, timeout_s=60.0)
-    return proc, port
-
-
-def drain(proc):
-    proc.send_signal(signal.SIGTERM)
-    output, _ = proc.communicate(timeout=120.0)
-    assert proc.returncode == 0, f"server exited {proc.returncode}:\n{output}"
-    assert "drained" in output, f"clean-shutdown summary missing:\n{output}"
-    return output
 
 
 def journal_types(path):
@@ -116,7 +80,7 @@ def phase_a(out: Path) -> None:
         )
     }
     proc, port = start_server(
-        out,
+        out, *ADMISSION,
         "--faults", "deadline_stall",
         "--fault-seed", str(FAULT_SEED),
         "--fault-pairs", str(FAULT_PAIRS),
@@ -124,6 +88,7 @@ def phase_a(out: Path) -> None:
         "--breaker-threshold", "3",
         "--breaker-window", "120",
         "--breaker-cooldown", "600",
+        workers=WORKERS,
     )
     try:
         neighbour_response = {}
@@ -206,11 +171,7 @@ def phase_a(out: Path) -> None:
         assert stats["outcomes"]["degraded"] >= 2, stats["outcomes"]
         assert stats["duplicates_dropped"] == 0, stats
     finally:
-        if proc.poll() is None:
-            output = drain(proc)
-        else:
-            output, _ = proc.communicate()
-            raise AssertionError(f"server died early:\n{output}")
+        output = drain(proc)
 
     assert "deadline-exceeded" in output, output
 
@@ -239,7 +200,9 @@ def phase_b(out: Path) -> None:
         "scrub_corruption", seed=FAULT_SEED, num_pairs=FAULT_PAIRS
     )
     assert plan.cache_corruption_ordinals, "plan lost its ordinals"
-    proc, port = start_server(out, "--scrub-interval", "0.5")
+    proc, port = start_server(
+        out, *ADMISSION, "--scrub-interval", "0.5", workers=WORKERS
+    )
     try:
         with ServeClient("127.0.0.1", port, timeout=300.0) as client:
             first = client.join(**STALLED)
@@ -273,11 +236,7 @@ def phase_b(out: Path) -> None:
             assert stats["scrub"]["errors"] == 0, stats["scrub"]
         print("  re-query cold and digest-identical")
     finally:
-        if proc.poll() is None:
-            drain(proc)
-        else:
-            output, _ = proc.communicate()
-            raise AssertionError(f"server died early:\n{output}")
+        drain(proc)
 
     types = journal_types(out / "serve.jsonl")
     assert "cache_scrub" in types

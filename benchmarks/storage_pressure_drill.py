@@ -34,22 +34,15 @@ CI runs it in the ``storage-pressure`` job and uploads the out directory.
 """
 
 import json
-import signal
-import subprocess
 import sys
 from pathlib import Path
 
+from drill import drain, start_server
 from repro.faults import FaultPlan, load_plan
 from repro.faults.plan import NAMED_SPECS
 from repro.obs import RunJournal
 from repro.parallel import parallel_join
-from repro.serve import (
-    QuerySpec,
-    ServeClient,
-    read_port_file,
-    result_digest,
-    wait_for_server,
-)
+from repro.serve import QuerySpec, ServeClient, result_digest
 from repro.storage import DiskBudget
 
 WORKERS = 2
@@ -177,42 +170,15 @@ def phase_3_replay(out: Path) -> None:
               f"recoveries {recovered_a}")
 
 
-def start_server(out, *extra):
-    out.mkdir(parents=True, exist_ok=True)
-    port_file = out / "port.txt"
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--cache-dir", str(out / "cache"),
-            "--out", str(out),
-            "--port-file", str(port_file),
-            "--workers", str(WORKERS),
-            *extra,
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-    )
-    port = read_port_file(port_file, timeout_s=60.0)
-    wait_for_server("127.0.0.1", port, timeout_s=60.0)
-    return proc, port
-
-
-def drain(proc):
-    proc.send_signal(signal.SIGTERM)
-    output, _ = proc.communicate(timeout=120.0)
-    assert proc.returncode == 0, f"server exited {proc.returncode}:\n{output}"
-    assert "drained" in output, f"clean-shutdown summary missing:\n{output}"
-    return output
-
-
 def phase_4_serve(out: Path, peak: int, baseline: str) -> None:
     print("== phase 4: serve-tier spill-aware admission ==")
 
     # A budget far under the workload's footprint: admission must reject
     # with the typed error before a single spill byte hits disk.
     tiny = out / "tiny"
-    proc, port = start_server(tiny, "--disk-budget", str(max(peak // 50, 1)))
+    proc, port = start_server(
+        tiny, "--disk-budget", max(peak // 50, 1), workers=WORKERS
+    )
     try:
         with ServeClient("127.0.0.1", port, timeout=300.0) as client:
             response = client.join(**FIELDS)
@@ -228,11 +194,7 @@ def phase_4_serve(out: Path, peak: int, baseline: str) -> None:
             assert stats["outcomes"]["storage_overload"] == 1, stats["outcomes"]
             assert stats["disk"]["used_bytes"] == 0, stats["disk"]
     finally:
-        if proc.poll() is None:
-            output = drain(proc)
-        else:
-            output, _ = proc.communicate()
-            raise AssertionError(f"server died early:\n{output}")
+        output = drain(proc)
     assert "storage-overload" in output, output
     pressure = journal_records(tiny / "serve.jsonl", "disk_pressure")
     assert pressure and pressure[0]["estimated_bytes"] > 0, pressure
@@ -240,7 +202,9 @@ def phase_4_serve(out: Path, peak: int, baseline: str) -> None:
 
     # A generous budget admits and serves the identical bytes.
     roomy = out / "roomy"
-    proc, port = start_server(roomy, "--disk-budget", str(peak * 8))
+    proc, port = start_server(
+        roomy, "--disk-budget", peak * 8, workers=WORKERS
+    )
     try:
         with ServeClient("127.0.0.1", port, timeout=300.0) as client:
             response = client.join(**FIELDS)
@@ -255,11 +219,7 @@ def phase_4_serve(out: Path, peak: int, baseline: str) -> None:
             print(f"  roomy budget: served digest-identical "
                   f"({stats['disk']['used_bytes']} bytes charged)")
     finally:
-        if proc.poll() is None:
-            drain(proc)
-        else:
-            output, _ = proc.communicate()
-            raise AssertionError(f"server died early:\n{output}")
+        drain(proc)
 
 
 def main(out_dir: str = "storage-pressure-out") -> int:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..geometry import Rect
 from .keypointer import KEYPTR_SIZE
@@ -243,6 +243,15 @@ class SpatialPartitioner:
     def tile_assignments(self, rect: Rect) -> List[TileAssignment]:
         """The MBR's two-layer ``(tile, class)`` replica slots."""
         return self.grid.tile_assignments(rect)
+
+    def slots_by_partition(self, rect: Rect) -> Dict[int, List[TileAssignment]]:
+        """The MBR's replica slots grouped by the partition each slot's tile
+        maps to, in ascending partition order: the routing rule every
+        spill, rebuild and spill-footprint estimate follows."""
+        by_part: Dict[int, List[TileAssignment]] = {}
+        for tile, cls in self.grid.tile_assignments(rect):
+            by_part.setdefault(self.partition_of_tile(tile), []).append((tile, cls))
+        return dict(sorted(by_part.items()))
 
     def owner_of_pair(self, rect_r: Rect, rect_s: Rect) -> int:
         """The partition whose merge emits this pair (its reference tile's

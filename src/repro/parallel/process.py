@@ -70,7 +70,7 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..checkpoint.manifest import (
     STATE_COMPLETE,
@@ -375,16 +375,18 @@ class ProcessPBSM:
     ) -> ParallelJoinResult:
         """The whole join, serially, in this process: the shed path.
 
-        No pool, no spills, no checkpoint.  Every partition pair is
-        rebuilt from the base relations through the same machinery the
-        degraded path uses, so the answer is byte-identical to any other
-        backend — the serve tier's circuit breaker leans on that to serve
-        ``degraded`` responses whose digests match a healthy run's.  Worker
-        faults never fire here (they live in ``run_pair_task``), and the
-        run deadline still applies, checked between pairs.
+        No pool, no spills, no checkpoint: ``checkpoint_dir``, the pool
+        provider, the fault plan and the disk budget are all ignored.
+        Every partition pair goes through :meth:`_rebuild` with reason
+        ``breaker_shed``, the same path failed and disk-starved pairs
+        take, so the answer is byte-identical to any other backend — the
+        serve tier's circuit breaker leans on that to serve ``degraded``
+        responses whose digests match a healthy run's.  The run deadline
+        still applies, checked between pairs.
         """
         started = time.perf_counter()
         self._faults = TallyCounter()
+        self._disk_injector = None
         self._arm_deadline()
         self.journal.emit(
             EVENT_RUN_STARTED,
@@ -396,51 +398,18 @@ class ProcessPBSM:
             resuming=False,
         )
         if not tuples_r or not tuples_s:
-            self.journal.emit(EVENT_RUN_FINISHED, results=0, degraded_pairs=[])
-            return ParallelJoinResult(
-                [], backend="process-serial",
-                wall_s=time.perf_counter() - started,
-            )
-        partitioner = self._partitioner(tuples_r, tuples_s)
-        outcomes: List[PairTaskResult] = []
-        for index in range(self.num_partitions):
-            if self._deadline_expired():
-                raise self._deadline_error(
-                    queued=self.num_partitions - index,
-                    inflight=[],
-                    completed=len(outcomes),
-                )
-            outcomes.append(
-                self._degraded_pair(
-                    index, "breaker_shed",
-                    tuples_r, tuples_s, partitioner, predicate,
-                )
-            )
-        merged, concat_dropped = merge_sorted_unique(
-            [o.pairs for o in outcomes]
+            return self._finish("process-serial", started, [])
+        outcomes = self._rebuild(
+            [(index, "breaker_shed") for index in range(self.num_partitions)],
+            tuples_r, tuples_s, self.partitioner(tuples_r, tuples_s),
+            predicate,
         )
-        duplicates_dropped = concat_dropped + sum(
-            o.duplicates_dropped for o in outcomes
-        )
-        self.metrics.counter("merge.duplicates_dropped").inc(
-            duplicates_dropped
-        )
-        self.journal.emit(
-            EVENT_RUN_FINISHED,
-            results=len(merged),
-            degraded_pairs=sorted(o.index for o in outcomes),
-            replayed_pairs=[],
-        )
-        return ParallelJoinResult(
-            merged,
-            nodes=self._node_reports(outcomes),
-            storage_factor_r=sum(o.count_r for o in outcomes) / len(tuples_r),
-            storage_factor_s=sum(o.count_s for o in outcomes) / len(tuples_s),
-            backend="process-serial",
-            wall_s=time.perf_counter() - started,
-            degraded_pairs=sorted(o.index for o in outcomes),
-            fault_summary=self._fault_summary(),
-            duplicates_dropped=duplicates_dropped,
+        return self._finish(
+            "process-serial", started, outcomes,
+            storage_factors=(
+                sum(o.count_r for o in outcomes) / len(tuples_r),
+                sum(o.count_s for o in outcomes) / len(tuples_s),
+            ),
         )
 
     # ------------------------------------------------------------------ #
@@ -477,6 +446,78 @@ class ProcessPBSM:
             self.deadline_s,
             completed=completed,
             pending=queued + len(inflight),
+        )
+
+    def _finish(
+        self,
+        backend: str,
+        started: float,
+        outcomes: List[PairTaskResult],
+        *,
+        storage_factors: Tuple[float, float] = (1.0, 1.0),
+        resumed: Collection[int] = (),
+        run_id: str = "",
+        store: Optional[CheckpointStore] = None,
+    ) -> ParallelJoinResult:
+        """Merge every pair's result stream, journal the finish, build the
+        result — the last step of :meth:`run`, :meth:`resume` and
+        :meth:`run_serial` alike.
+
+        Two-layer partitioning guarantees every result pair belongs to
+        exactly one partition pair, so the per-pair sorted lists are
+        disjoint: merging them is a streaming k-way interleave, not a
+        sorted-set union.  The drop counter is the invariant's tripwire —
+        it must stay 0 and CI gates on it.  A checkpointed run records
+        its completion before the run-finished event."""
+        outcomes = sorted(outcomes, key=lambda o: o.index)
+        merge_started = time.perf_counter()
+        with self.tracer.span("process.merge", streams=len(outcomes)):
+            merged, concat_dropped = merge_sorted_unique(
+                [o.pairs for o in outcomes]
+            )
+        coordinator_merge_s = time.perf_counter() - merge_started
+        duplicates_dropped = concat_dropped + sum(
+            o.duplicates_dropped for o in outcomes
+        )
+        self.metrics.counter("merge.duplicates_dropped").inc(
+            duplicates_dropped
+        )
+        if store is not None and store.manifest.state != STATE_COMPLETE:
+            store.append_event({"type": "complete", "result_count": len(merged)})
+        degraded = sorted(o.index for o in outcomes if o.degraded)
+        self.journal.emit(
+            EVENT_RUN_FINISHED,
+            results=len(merged),
+            degraded_pairs=degraded,
+            replayed_pairs=sorted(resumed),
+        )
+        return ParallelJoinResult(
+            merged,
+            nodes=self._node_reports(outcomes),
+            storage_factor_r=storage_factors[0],
+            storage_factor_s=storage_factors[1],
+            backend=backend,
+            wall_s=time.perf_counter() - started,
+            tasks=[
+                TaskReport(
+                    index=o.index,
+                    cost_estimate=o.count_r + o.count_s,
+                    candidates=o.candidates,
+                    results=len(o.pairs),
+                    wall_s=o.wall_s,
+                    worker_pid=o.worker_pid,
+                    attempts=o.attempt + 1,
+                    degraded=o.degraded,
+                    resumed=o.index in resumed,
+                )
+                for o in outcomes
+            ],
+            degraded_pairs=degraded,
+            fault_summary=self._fault_summary(),
+            resumed_pairs=sorted(resumed),
+            checkpoint_run_id=run_id,
+            duplicates_dropped=duplicates_dropped,
+            coordinator_merge_s=coordinator_merge_s,
         )
 
     def _run(
@@ -520,10 +561,7 @@ class ProcessPBSM:
             disk_budget=budget.max_bytes if budget is not None else None,
         )
         if not tuples_r or not tuples_s:
-            self.journal.emit(EVENT_RUN_FINISHED, results=0, degraded_pairs=[])
-            return ParallelJoinResult(
-                [], backend="process", wall_s=time.perf_counter() - started
-            )
+            return self._finish("process", started, [])
 
         store: Optional[CheckpointStore] = None
         manifest: Optional[JoinManifest] = None
@@ -572,7 +610,7 @@ class ProcessPBSM:
         spills_r: SideSpills = []
         spills_s: SideSpills = []
         try:
-            partitioner = self._partitioner(tuples_r, tuples_s)
+            partitioner = self.partitioner(tuples_r, tuples_s)
             injector = WriteErrorInjector(self.fault_plan, journal=self.journal)
             fresh_sides: Set[str] = set()
             with self.tracer.span("process.partition"):
@@ -631,60 +669,40 @@ class ProcessPBSM:
                     tasks, on_result=on_result
                 )
             failed = set(exhausted) | quarantined
-            if failed:
-                degraded = self._degrade_pairs(
-                    failed, exhausted, quarantined,
-                    tuples_r, tuples_s, partitioner, predicate,
+            if failed and not self.degrade_on_failure:
+                # Surface the first failed pair's error (pair id, attempt,
+                # worker context attached) instead of rebuilding.
+                index = min(failed)
+                if index in exhausted:
+                    raise exhausted[index]
+                raise WorkerTaskError(
+                    index, 0, 0,
+                    "SpillCorruptionError",
+                    "partition spill quarantined by integrity check",
+                    corruption=True,
                 )
-                if store is not None:
-                    for outcome in degraded:
-                        store.append_result(outcome)
-                outcomes.extend(degraded)
-            # Partitions whose spills were dropped under disk pressure
-            # never became tasks; rebuild them in memory — no spill, no
-            # budget charge — so the answer stays byte-identical.
-            for index in sorted(self._disk_degraded - set(committed)):
-                outcome = self._degraded_pair(
-                    index, "disk_full",
-                    tuples_r, tuples_s, partitioner, predicate,
-                )
-                self._count("degraded")
-                self.journal.emit(
-                    EVENT_DEGRADED, pair=index, reason="disk_full"
-                )
-                if store is not None:
-                    store.append_result(outcome)
-                outcomes.append(outcome)
-            outcomes.extend(committed[index] for index in sorted(committed))
-            outcomes.sort(key=lambda o: o.index)
-            # Two-layer partitioning guarantees every result pair belongs
-            # to exactly one task, so the per-task sorted lists are
-            # disjoint: merging them is a streaming k-way interleave, not
-            # a sorted-set union.  The drop counter is the invariant's
-            # tripwire — it must stay 0 and CI gates on it.
-            merge_started = time.perf_counter()
-            with self.tracer.span("process.merge", streams=len(outcomes)):
-                merged, concat_dropped = merge_sorted_unique(
-                    [o.pairs for o in outcomes]
-                )
-            coordinator_merge_s = time.perf_counter() - merge_started
-            duplicates_dropped = concat_dropped + sum(
-                o.duplicates_dropped for o in outcomes
+            # Pairs the process path gave up on, then partitions whose
+            # spills were dropped under disk pressure (they never became
+            # tasks): both are rebuilt in memory from the base relations.
+            rebuilt = self._rebuild(
+                [
+                    (i, "corrupt_spill" if i in quarantined else "retry_exhausted")
+                    for i in sorted(failed)
+                ]
+                + [
+                    (i, "disk_full")
+                    for i in sorted(self._disk_degraded - set(committed))
+                ],
+                tuples_r, tuples_s, partitioner, predicate,
+                done=len(outcomes), on_result=on_result,
             )
-            self.metrics.counter("merge.duplicates_dropped").inc(
-                duplicates_dropped
-            )
-            if store is not None:
-                assert manifest is not None
-                if manifest.state != STATE_COMPLETE:
-                    store.append_event(
-                        {"type": "complete", "result_count": len(merged)}
-                    )
-            self.journal.emit(
-                EVENT_RUN_FINISHED,
-                results=len(merged),
-                degraded_pairs=sorted(o.index for o in outcomes if o.degraded),
-                replayed_pairs=sorted(committed),
+            result = self._finish(
+                "process", started,
+                outcomes + rebuilt + list(committed.values()),
+                storage_factors=(
+                    placed_r / len(tuples_r), placed_s / len(tuples_s)
+                ),
+                resumed=committed, run_id=run_id, store=store,
             )
         finally:
             if store is not None:
@@ -699,40 +717,9 @@ class ProcessPBSM:
                         release = getattr(spill, "release_budget", None)
                         if release is not None:
                             release()
-
-        result = ParallelJoinResult(
-            merged,
-            nodes=self._node_reports(outcomes),
-            storage_factor_r=placed_r / len(tuples_r),
-            storage_factor_s=placed_s / len(tuples_s),
-            backend="process",
-            wall_s=time.perf_counter() - started,
-            tasks=[
-                TaskReport(
-                    index=o.index,
-                    cost_estimate=o.count_r + o.count_s,
-                    candidates=o.candidates,
-                    results=len(o.pairs),
-                    wall_s=o.wall_s,
-                    worker_pid=o.worker_pid,
-                    attempts=o.attempt + 1,
-                    degraded=o.degraded,
-                    resumed=o.index in committed,
-                )
-                for o in outcomes
-            ],
-            degraded_pairs=sorted(
-                o.index for o in outcomes if o.degraded
-            ),
-            fault_summary=self._fault_summary(),
-            resumed_pairs=sorted(committed),
-            checkpoint_run_id=run_id,
-            duplicates_dropped=duplicates_dropped,
-            coordinator_merge_s=coordinator_merge_s,
-        )
         self.metrics.gauge("parallel.process.partitions").set(self.num_partitions)
         self.metrics.gauge("parallel.process.workers").set(self.workers)
-        self.metrics.counter("parallel.process.tasks").inc(len(outcomes))
+        self.metrics.counter("parallel.process.tasks").inc(len(result.tasks))
         return result
 
     # ------------------------------------------------------------------ #
@@ -904,11 +891,16 @@ class ProcessPBSM:
     # partitioning + spilling
     # ------------------------------------------------------------------ #
 
-    def _partitioner(
+    def partitioner(
         self,
         tuples_r: Sequence[SpatialTuple],
         tuples_s: Sequence[SpatialTuple],
     ) -> SpatialPartitioner:
+        """The routing rule's first half: the joint universe of both
+        inputs, tiled for this engine's partition count and config.  Its
+        :meth:`~repro.core.partition.SpatialPartitioner.slots_by_partition`
+        is the second half; spills, rebuilds and the serve tier's
+        footprint estimate all route through the pair."""
         from ..geometry import Rect
 
         universe = Rect.union_all(t.mbr for t in tuples_r).union(
@@ -988,12 +980,8 @@ class ProcessPBSM:
         try:
             for ordinal, t in enumerate(tuples):
                 injector.check(side, ordinal)
-                by_part: Dict[int, List[Tuple[int, int]]] = {}
-                for tile, cls in partitioner.tile_assignments(t.mbr):
-                    by_part.setdefault(
-                        partitioner.partition_of_tile(tile), []
-                    ).append((tile, cls))
-                for p in sorted(by_part):
+                by_part = partitioner.slots_by_partition(t.mbr)
+                for p in by_part:
                     if p in self._disk_degraded:
                         continue
                     try:
@@ -1523,52 +1511,51 @@ class ProcessPBSM:
     # graceful degradation
     # ------------------------------------------------------------------ #
 
-    def _degrade_pairs(
+    def _rebuild(
         self,
-        failed: Set[int],
-        exhausted: Dict[int, WorkerTaskError],
-        quarantined: Set[int],
+        pending: List[Tuple[int, str]],
         tuples_r: Sequence[SpatialTuple],
         tuples_s: Sequence[SpatialTuple],
         partitioner: SpatialPartitioner,
         predicate: Predicate,
+        *,
+        done: int = 0,
+        on_result: Optional[Callable[[PairTaskResult], None]] = None,
     ) -> List[PairTaskResult]:
-        """Rebuild the pairs the process path gave up on, serially.
+        """Rebuild ``(pair, reason)`` pairs serially from the base relations.
 
-        The coordinator still holds the base relations, so a partition
-        whose spill files are corrupt or whose task kept dying is simply
-        re-derived from source tuples and merged in-process — slower, but
-        exact.  With ``degrade_on_failure=False`` the first exhausted
-        pair's error (pair id, attempt, worker context attached) is raised
-        instead.
+        The one path for every pair the pool does not deliver.  The
+        coordinator still holds the base relations, so any partition pair
+        can be re-derived from source tuples and merged in-process —
+        slower, but exact:
+
+        * ``retry_exhausted`` — the pair's task kept failing;
+        * ``corrupt_spill`` — its spill failed the integrity check;
+        * ``disk_full`` — its spill was dropped under disk pressure, so
+          no task was ever built;
+        * ``breaker_shed`` — :meth:`run_serial` rebuilds every pair.
+
+        The run deadline is checked between pairs (``done`` pairs were
+        already delivered by the pool); each rebuilt pair is counted,
+        journaled and handed to ``on_result`` (the checkpoint commit)
+        before the next one starts.
         """
-        if not self.degrade_on_failure:
-            index = min(failed)
-            error = exhausted.get(index)
-            if error is None:
-                error = WorkerTaskError(
-                    index, 0, 0,
-                    "SpillCorruptionError",
-                    "partition spill quarantined by integrity check",
-                    corruption=True,
-                )
-            raise error
-        results = []
-        for index in sorted(failed):
+        results: List[PairTaskResult] = []
+        for index, reason in pending:
             if self._deadline_expired():
                 raise self._deadline_error(
-                    queued=len(failed) - len(results),
+                    queued=len(pending) - len(results),
                     inflight=[],
-                    completed=len(results),
+                    completed=done + len(results),
                 )
-            reason = "corrupt_spill" if index in quarantined else "retry_exhausted"
-            results.append(
-                self._degraded_pair(
-                    index, reason, tuples_r, tuples_s, partitioner, predicate
-                )
+            outcome = self._degraded_pair(
+                index, reason, tuples_r, tuples_s, partitioner, predicate
             )
             self._count("degraded")
             self.journal.emit(EVENT_DEGRADED, pair=index, reason=reason)
+            if on_result is not None:
+                on_result(outcome)
+            results.append(outcome)
         return results
 
     def _degraded_pair(
@@ -1638,11 +1625,7 @@ def _rebuild_partition(
     kps = []
     lookup = {}
     for t in tuples:
-        slots = [
-            (tile, cls)
-            for tile, cls in partitioner.tile_assignments(t.mbr)
-            if partitioner.partition_of_tile(tile) == index
-        ]
+        slots = partitioner.slots_by_partition(t.mbr).get(index)
         if slots:
             for tile, cls in slots:
                 kps.append(fid_keypointer(t, tile, cls))

@@ -49,15 +49,13 @@ from typing import Dict, List, Optional, Tuple
 
 from ..checkpoint.store import CheckpointMismatchError
 from ..faults.inject import CoordinatorKilledError
-from ..core.pbsm import PBSMConfig
-from ..core.partition import SpatialPartitioner
-from ..geometry import Rect
 from ..obs.journal import (
     EVENT_CACHE_HIT,
     EVENT_DISK_PRESSURE,
     EVENT_QUERY_DONE,
     EVENT_QUERY_RECEIVED,
     EVENT_SAMPLE,
+    NULL_JOURNAL,
     RunJournal,
     ThreadSafeJournal,
 )
@@ -582,15 +580,16 @@ class JoinServer:
                         # The breaker is open: shed off the pool onto the
                         # in-process serial path.  Same answer (digest
                         # equality is the CI drill), same deadline, no
-                        # cache fill (no checkpoint dir — a degraded run
-                        # must not shadow the real entry).
+                        # cache fill (run_serial ignores the checkpoint
+                        # dir — a degraded run must not shadow the real
+                        # entry).
                         source = SOURCE_DEGRADED
                         with self._lock:
                             self._degraded += 1
                         self.metrics.counter("serve.degraded").inc()
-                        pairs = self._run_shed(
-                            spec, tuples_r, tuples_s, journal
-                        )
+                        pairs = self._engine(spec, journal).run_serial(
+                            tuples_r, tuples_s, spec.predicate_fn
+                        ).pairs
                 self.cache.touch(run_id)
                 latency = time.perf_counter() - started
                 self._latency.observe(latency)
@@ -662,22 +661,7 @@ class JoinServer:
             result = self._engine(spec, journal).run(
                 tuples_r, tuples_s, spec.predicate_fn
             )
-        return sorted(set(result.pairs)), drill
-
-    def _run_shed(self, spec, tuples_r, tuples_s, journal):
-        """The breaker's degraded path: the whole join, serially, in this
-        process.  No pool, no fault plan, no checkpoint — just the same
-        partition/merge/refine math, bounded by the same deadline."""
-        engine = ProcessPBSM(
-            spec.workers,
-            num_partitions=spec.partitions,
-            memory_bytes=spec.memory_bytes,
-            journal=journal,
-            metrics=self.metrics,
-            deadline_s=spec.deadline_s,
-        )
-        result = engine.run_serial(tuples_r, tuples_s, spec.predicate_fn)
-        return sorted(set(result.pairs))
+        return result.pairs, drill
 
     def _engine(self, spec, journal, *, kill_after=None) -> ProcessPBSM:
         return ProcessPBSM(
@@ -745,26 +729,16 @@ class JoinServer:
         """
         if not tuples_r or not tuples_s:
             return 0
-        config = PBSMConfig()
-        partitions = spec.partitions
-        universe = Rect.union_all(t.mbr for t in tuples_r).union(
-            Rect.union_all(t.mbr for t in tuples_s)
-        )
-        partitioner = SpatialPartitioner(
-            universe, partitions, max(config.num_tiles, partitions),
-            config.scheme,
+        partitioner = self._engine(spec, NULL_JOURNAL).partitioner(
+            tuples_r, tuples_s
         )
         total = 0
         kp_frame = KEYPOINTER_RECORD_BYTES + FRAME_HEADER_SIZE
         for tuples in (tuples_r, tuples_s):
             for t in tuples:
-                receiving = set()
-                slots = 0
-                for tile, _cls in partitioner.tile_assignments(t.mbr):
-                    receiving.add(partitioner.partition_of_tile(tile))
-                    slots += 1
-                total += slots * kp_frame
-                total += len(receiving) * (
+                by_part = partitioner.slots_by_partition(t.mbr)
+                total += sum(map(len, by_part.values())) * kp_frame
+                total += len(by_part) * (
                     FRAME_HEADER_SIZE + len(serialize_tuple(t))
                 )
         return total

@@ -20,6 +20,7 @@ from repro.parallel import (
     ProcessPBSM,
     serial_feature_pairs,
 )
+from repro.storage.pressure import DiskBudget
 
 SCALE = 0.002
 NUM_PAIRS = 8
@@ -136,6 +137,50 @@ class TestSerialExpiry:
         assert result.pairs == expected
         assert result.backend == "process-serial"
         assert result.duplicates_dropped == 0
+
+
+class TestDiskStarvedExpiry:
+    def test_disk_starved_rebuilds_check_the_deadline(self, workload):
+        # A budget too small for any spill write degrades every partition
+        # during partitioning, so no task is built and the pool returns at
+        # once: the whole join is left to the rebuild loop, which must
+        # honour the deadline between pairs like any other stage.
+        tuples_r, tuples_s, expected = workload
+        unbounded = ProcessPBSM(
+            2, num_partitions=NUM_PAIRS, disk_budget=DiskBudget(0)
+        ).run(tuples_r, tuples_s, intersects)
+        assert unbounded.pairs == expected
+        assert unbounded.degraded_pairs == list(range(NUM_PAIRS))
+        assert unbounded.fault_summary["degraded"] == NUM_PAIRS
+
+        engine = ProcessPBSM(
+            2, num_partitions=NUM_PAIRS,
+            disk_budget=DiskBudget(0), deadline_s=1e-6,
+        )
+        with pytest.raises(DeadlineExceededError) as info:
+            engine.run(tuples_r, tuples_s, intersects)
+        err = info.value
+        assert err.completed + err.pending == NUM_PAIRS
+        assert err.pending >= 1
+
+
+class TestShedJournal:
+    def test_every_shed_pair_is_journaled_once(self, workload, tmp_path):
+        tuples_r, tuples_s, expected = workload
+        journal = RunJournal(tmp_path / "journal.jsonl")
+        result = ProcessPBSM(
+            2, num_partitions=NUM_PAIRS, journal=journal
+        ).run_serial(tuples_r, tuples_s, intersects)
+        journal.close()
+        events = [
+            json.loads(line)
+            for line in (tmp_path / "journal.jsonl").read_text().splitlines()
+        ]
+        rebuilds = [e for e in events if e["type"] == "degraded_rebuild"]
+        assert sorted(e["pair"] for e in rebuilds) == list(range(NUM_PAIRS))
+        assert {e["reason"] for e in rebuilds} == {"breaker_shed"}
+        assert result.fault_summary["degraded"] == NUM_PAIRS
+        assert result.pairs == expected
 
 
 class TestAdoptableState:

@@ -29,14 +29,23 @@ class FlakyServer(threading.Thread):
         self.listener.bind(("127.0.0.1", 0))
         self.listener.listen(8)
         self.port = self.listener.getsockname()[1]
-        self._stop = threading.Event()
+        self._stopping = threading.Event()
+        self._lock = threading.Lock()
+        self._conn = None
 
     def run(self):
-        while not self._stop.is_set():
+        while True:
             try:
                 conn, _addr = self.listener.accept()
             except OSError:
                 return
+            with self._lock:
+                if self._stopping.is_set():
+                    # Accepted after stop(): the server is dead, so the
+                    # queued client sees a close, never an answer.
+                    conn.close()
+                    return
+                self._conn = conn
             self.connections += 1
             with conn:
                 rfile = conn.makefile("r", encoding="utf-8", newline="\n")
@@ -55,13 +64,27 @@ class FlakyServer(threading.Thread):
                     conn.shutdown(socket.SHUT_RDWR)
                 except OSError:
                     pass
+            with self._lock:
+                self._conn = None
 
     def stop(self):
-        self._stop.set()
-        try:
-            self.listener.close()
-        except OSError:
-            pass
+        """Die completely: refuse new connections, drop the live one, and
+        wait for the serving thread to exit."""
+        with self._lock:
+            self._stopping.set()
+            conn = self._conn
+        for sock in (self.listener, conn):
+            if sock is None:
+                continue
+            try:
+                # shutdown() wakes a thread blocked in accept() or recv();
+                # close() alone leaves it running on the open file.
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        self.listener.close()
+        self.join(timeout=10.0)
+        assert not self.is_alive(), "flaky server thread did not exit"
 
 
 @pytest.fixture

@@ -515,6 +515,23 @@ class TestStoragePressure:
         assert stats["outcomes"]["storage_overload"] == 0
         assert stats["duplicates_dropped"] == 0
 
+    def test_spill_estimate_equals_metered_peak(self, tmp_path):
+        # Admission and the engine route tuples through one rule, so the
+        # estimate is exact: it matches the bytes the spills charge.
+        from repro.parallel import ProcessPBSM
+        from repro.storage.pressure import DiskBudget
+
+        spec = QuerySpec(**SPEC)
+        tuples_r, tuples_s = spec.generate()
+        server = JoinServer(tmp_path / "cache", tmp_path / "out", workers=2)
+        estimate = server._estimate_spill_bytes(spec, tuples_r, tuples_s)
+        budget = DiskBudget()
+        ProcessPBSM(
+            spec.workers, num_partitions=spec.partitions,
+            memory_bytes=spec.memory_bytes, disk_budget=budget,
+        ).run(tuples_r, tuples_s, spec.predicate_fn)
+        assert estimate == budget.peak_by_category["spill"] > 0
+
 
 class TestTelemetryOps:
     def test_telemetry_op_reports_series_and_slow_log(self, tmp_path):
