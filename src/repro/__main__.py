@@ -44,8 +44,14 @@ Subcommands:
   join|ping|stats|shutdown``);
 * ``plan``  — show which algorithm the paper's decision table picks for a
   described scenario;
-* ``bench-compare`` — diff a fresh ``BENCH_*.json`` against a committed
-  baseline and exit non-zero if deterministic counters drifted;
+* ``top`` — live dashboard against a running server;
+* ``runs`` — cross-run warehouse over run dirs, serve roots and
+  ``BENCH_*.json`` files: ``list``, ``show``, and ``compare A B`` with
+  ``--gate PATTERN`` (shell-style, ``'*'`` gates every metric), the one
+  regression gate: each metric's policy comes from its name (exact page
+  counts, candidates and results; 10 % ``io_s``; wall clock never), and
+  BENCH cells are compared per ``(algorithm, buffer_mb)`` as
+  ``R-tree@2MB/candidates``; exit 4 on a regression;
 * ``info``  — package, subsystem, and experiment inventory.
 """
 
@@ -918,17 +924,27 @@ def _cmd_runs(args: argparse.Namespace) -> int:
     except corpus.CorpusError as exc:
         print(f"runs: {exc}", file=sys.stderr)
         return 2
-    rows = corpus.compare_runs(record_a, record_b, metrics=args.metric or None)
+    rows = corpus.compare_runs(record_a, record_b)
+    shown = (
+        corpus.compare_runs(record_a, record_b, metrics=args.metric)
+        if args.metric else rows
+    )
     if args.json:
         print(json.dumps(
-            {"a": record_a.to_dict(), "b": record_b.to_dict(), "rows": rows},
+            {"a": record_a.to_dict(), "b": record_b.to_dict(), "rows": shown},
             indent=2, sort_keys=True,
         ))
     else:
-        sys.stdout.write(corpus.render_compare(record_a, record_b, rows))
+        sys.stdout.write(corpus.render_compare(record_a, record_b, shown))
     failures = corpus.check_gates(rows, args.gate or [], args.threshold)
     for failure in failures:
         print(f"REGRESSION: {failure}")
+    if failures and record_a.kind == corpus.KIND_BENCH:
+        print(
+            "If the drift is intentional, re-baseline: re-run the benchmark "
+            "at the baseline's REPRO_BENCH_SCALE and commit the fresh JSON "
+            "(see 'Benchmark-regression gate' in docs/ARCHITECTURE.md)."
+        )
     return _RUNS_GATE_EXIT if failures else 0
 
 
@@ -949,24 +965,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
           f"buffer={args.buffer_mb} MB")
     print(f"chosen algorithm: {plan.algorithm.upper()}")
     print(f"reason: {plan.reason}")
-    return 0
-
-
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from .bench.compare import compare_files
-
-    violations = compare_files(args.baseline, args.fresh)
-    if violations:
-        print(f"bench-compare: {len(violations)} violation(s) vs {args.baseline}")
-        for violation in violations:
-            print(f"  {violation}")
-        print(
-            "If the drift is intentional, re-baseline: re-run the benchmark "
-            "at the baseline's REPRO_BENCH_SCALE and commit the fresh JSON "
-            "(see src/repro/bench/compare.py)."
-        )
-        return 1
-    print(f"bench-compare: OK ({args.fresh} matches {args.baseline})")
     return 0
 
 
@@ -1291,13 +1289,16 @@ def main(argv: list[str] | None = None) -> int:
              "or one corpus root with --trend",
     )
     runs_compare.add_argument("--metric", action="append", default=None,
-                              help="restrict to this metric (repeatable); "
-                                   "with --trend, the metric to fit")
+                              help="print only this metric (repeatable; "
+                                   "gates still read every metric); with "
+                                   "--trend, the metric to fit")
     runs_compare.add_argument("--gate", action="append", default=None,
-                              help="fail (exit 4) if this metric regressed "
-                                   "past --threshold (repeatable)")
+                              help="fail (exit 4) if a metric matching this "
+                                   "shell-style pattern regressed under its "
+                                   "policy (repeatable; '*' gates all)")
     runs_compare.add_argument("--threshold", type=float, default=0.10,
-                              help="regression threshold as a fraction "
+                              help="regression threshold as a fraction for "
+                                   "metrics without an exact or io_s policy "
                                    "(default 0.10 = 10%%)")
     runs_compare.add_argument("--trend", action="store_true",
                               help="fit a least-squares trend per metric "
@@ -1314,14 +1315,6 @@ def main(argv: list[str] | None = None) -> int:
     plan.add_argument("--index-r", action="store_true", help="road index pre-exists")
     plan.add_argument("--index-s", action="store_true", help="hydro index pre-exists")
     plan.set_defaults(func=_cmd_plan)
-
-    bench_compare = sub.add_parser(
-        "bench-compare",
-        help="fail if a fresh BENCH_*.json drifted from a baseline",
-    )
-    bench_compare.add_argument("baseline", help="committed baseline BENCH_*.json")
-    bench_compare.add_argument("fresh", help="freshly emitted BENCH_*.json")
-    bench_compare.set_defaults(func=_cmd_bench_compare)
 
     info = sub.add_parser("info", help="package inventory")
     info.set_defaults(func=_cmd_info)

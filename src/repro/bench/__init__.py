@@ -1,11 +1,5 @@
 """Benchmark harness utilities (scaling, cold runs, table rendering)."""
 
-from .compare import (
-    IO_S_TOLERANCE,
-    compare_documents,
-    compare_files,
-    record_key,
-)
 from .harness import (
     BENCH_SCALE,
     PAPER_BUFFER_MB,
@@ -19,14 +13,10 @@ from .harness import (
 
 __all__ = [
     "BENCH_SCALE",
-    "IO_S_TOLERANCE",
     "PAPER_BUFFER_MB",
     "ResultTable",
-    "compare_documents",
-    "compare_files",
     "fresh_sequoia",
     "fresh_tiger",
-    "record_key",
     "run_cold",
     "scaled_buffer_mb",
     "write_bench_json",

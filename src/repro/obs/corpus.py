@@ -16,18 +16,22 @@ index is a pure function of file contents: same tree, same bytes out.
 :func:`compare_runs` diffs two records metric-by-metric and
 :func:`fit_trend` fits a least-squares slope over a metric's trajectory
 across N runs — the ``repro runs compare`` CLI turns either into a
-non-zero exit past a regression threshold, giving CI a trajectory gate
-instead of a single committed baseline.
+non-zero exit past a regression threshold.  :func:`check_gates` is the
+one regression gate: :data:`GATE_POLICIES` picks each metric's check
+from its name, so a BENCH file's deterministic page counts stay exact
+while measured wall clock is never gated.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from .analyze import analyze_events
+from .bench import load_bench_file
 from .journal import read_journal
 from .timeseries import quantile
 
@@ -41,7 +45,40 @@ KIND_SERVE = "serve"
 KIND_BENCH = "bench"
 
 DEFAULT_GATE_THRESHOLD = 0.10
-"""A gated metric regresses when ``b > a * (1 + threshold)``."""
+"""A threshold-gated metric regresses when ``b > a * (1 + threshold)``."""
+
+IO_S_TOLERANCE = 0.10
+"""Relative drift allowed, either way, on modelled I/O seconds."""
+
+CELL_SEPARATOR = "/"
+"""Joins a BENCH cell's name to its metrics: ``R-tree@2MB/candidates``."""
+
+EXACT = "exact"
+TOLERANCE = "tolerance"
+IGNORE = "ignore"
+THRESHOLD = "threshold"
+
+GATE_POLICIES: Dict[str, str] = {
+    # The cost model is deterministic for a fixed seed, scale and buffer:
+    # page counts, candidates and results move only when an algorithm
+    # change means to move them, and runs at another scale (or of another
+    # benchmark) are not comparable at all.
+    "page_reads": EXACT,
+    "page_writes": EXACT,
+    "seeks": EXACT,
+    "candidates": EXACT,
+    "result_count": EXACT,
+    "scale": EXACT,
+    "benchmark": EXACT,
+    # Modelled I/O seconds follow the page counts but are summed in
+    # floating point: IO_S_TOLERANCE either way, and 0 -> non-zero fails.
+    "io_s": TOLERANCE,
+    # Measured wall clock is machine noise, not a regression signal.
+    "cpu_s": IGNORE,
+    "total_s": IGNORE,
+}
+"""Gate policy by a metric's leaf name (``R-tree@2MB/phase.Refinement.io_s``
+-> ``io_s``); any other metric regresses one-sidedly past ``threshold``."""
 
 _COUNTER_METRICS = {
     "merge.duplicates_dropped": "duplicates_dropped",
@@ -222,7 +259,10 @@ def index_bench_file(path: "Path | str", run_id: Optional[str] = None) -> List[R
         raise CorpusError(f"{path}: not JSON ({exc})") from exc
     if not isinstance(data, dict) or not isinstance(data.get("records"), list):
         raise CorpusError(f"{path}: not a BENCH file (no records list)")
-    base = run_id or path.stem
+    return _bench_cells(data, str(path), run_id or path.stem)
+
+
+def _bench_cells(data: dict, path: str, base: str) -> List[RunRecord]:
     out: List[RunRecord] = []
     for i, record in enumerate(data["records"]):
         identity: Dict[str, object] = {
@@ -233,7 +273,8 @@ def index_bench_file(path: "Path | str", run_id: Optional[str] = None) -> List[R
             if record.get(key) is not None:
                 identity[key] = record[key]
         metrics: Dict[str, float] = {}
-        for key in ("total_s", "cpu_s", "io_s", "candidates", "result_count"):
+        for key in ("total_s", "cpu_s", "io_s", "candidates", "result_count",
+                    "scale"):
             if record.get(key) is not None:
                 metrics[key] = record[key]
         for key, value in sorted((record.get("counters") or {}).items()):
@@ -253,7 +294,7 @@ def index_bench_file(path: "Path | str", run_id: Optional[str] = None) -> List[R
         out.append(
             RunRecord(
                 run_id=f"{base}#{i}",
-                path=str(path),
+                path=path,
                 kind=KIND_BENCH,
                 identity=identity,
                 metrics=metrics,
@@ -296,9 +337,9 @@ def index_path(path: "Path | str") -> RunRecord:
     """Index a single artifact the user pointed at directly.
 
     A directory with a ``serve.jsonl`` is a serve root; with a
-    ``journal.jsonl``, an engine run; a ``*.json`` file, a BENCH file
-    (multi-record files merge with ``<algorithm>.``-prefixed metrics so
-    one comparable record comes back).
+    ``journal.jsonl``, an engine run; a file, a schema-validated BENCH
+    file whose cells merge into one record, each cell's metrics named
+    after its ``(algorithm, buffer_mb)``: ``R-tree@2MB/counter.page_reads``.
     """
     given = str(path)
     path = Path(path)
@@ -311,27 +352,29 @@ def index_path(path: "Path | str") -> RunRecord:
             f"{path}: neither {SERVE_JOURNAL_FILENAME} nor "
             f"{ENGINE_JOURNAL_FILENAME} found"
         )
-    if path.is_file():
-        records = index_bench_file(path)
-        if not records:
-            raise CorpusError(f"{path}: BENCH file with no records")
-        if len(records) == 1:
-            record = records[0]
-            record.run_id = path.stem
-            return record
-        merged = RunRecord(
-            run_id=path.stem,
-            path=str(path),
-            kind=KIND_BENCH,
-            identity={"benchmark": records[0].identity.get("benchmark"),
-                      "cells": len(records)},
-        )
-        for i, record in enumerate(records):
-            prefix = str(record.identity.get("algorithm", i))
-            for key in sorted(record.metrics):
-                merged.metrics[f"{prefix}.{key}"] = record.metrics[key]
-        return merged
-    raise CorpusError(f"{path}: no such run artifact")
+    if not path.is_file():
+        raise CorpusError(f"{path}: no such run artifact")
+    try:
+        data = load_bench_file(path)
+    except ValueError as exc:  # bad JSON or a schema violation
+        raise CorpusError(f"{path}: not a valid BENCH file ({exc})") from exc
+    if not data["records"]:
+        raise CorpusError(f"{path}: BENCH file with no records")
+    merged = RunRecord(
+        run_id=path.stem,
+        path=str(path),
+        kind=KIND_BENCH,
+        identity={"benchmark": data["benchmark"], "cells": len(data["records"])},
+    )
+    for cell in _bench_cells(data, str(path), path.stem):
+        name = (f"{cell.identity['algorithm']}@"
+                f"{_fmt_num(cell.identity['buffer_mb'])}MB")
+        prefix = name + CELL_SEPARATOR
+        if any(key.startswith(prefix) for key in merged.metrics):
+            raise CorpusError(f"{path}: duplicate cell {name}")
+        for key, value in cell.metrics.items():
+            merged.metrics[prefix + key] = value
+    return merged
 
 
 def scan_corpus(root: "Path | str") -> List[RunRecord]:
@@ -398,20 +441,22 @@ def compare_runs(
     """Metric-by-metric diff rows over the union of both records' keys.
 
     Each row carries both readings plus ``delta`` (b - a) and ``ratio``
-    (b / a) when they are computable.  ``metrics`` restricts the rows to
-    the named keys, in the given order.
+    (b / a) when they are computable.  A BENCH record's benchmark name
+    rides along as the ``benchmark`` row, so a gate can compare it.
+    ``metrics`` restricts the rows to the named keys, in the given order.
     """
+    values_a, values_b = _row_values(a), _row_values(b)
     keys: List[str] = (
         list(metrics)
         if metrics
-        else sorted(set(a.metrics) | set(b.metrics))
+        else sorted(set(values_a) | set(values_b))
     )
     rows: List[dict] = []
     for key in keys:
-        va = a.metrics.get(key)
-        vb = b.metrics.get(key)
+        va = values_a.get(key)
+        vb = values_b.get(key)
         row: dict = {"metric": key, "a": va, "b": vb}
-        if va is not None and vb is not None:
+        if isinstance(va, (int, float)) and isinstance(vb, (int, float)):
             row["delta"] = round(vb - va, 9)
             if va:
                 row["ratio"] = round(vb / va, 6)
@@ -419,30 +464,80 @@ def compare_runs(
     return rows
 
 
+def _row_values(record: RunRecord) -> Dict[str, object]:
+    values: Dict[str, object] = dict(record.metrics)
+    if record.identity.get("benchmark") is not None:
+        values["benchmark"] = record.identity["benchmark"]
+    return values
+
+
+def gate_policy(metric: str) -> str:
+    """The :data:`GATE_POLICIES` entry for ``metric``, by its leaf name."""
+    leaf = metric.rpartition(CELL_SEPARATOR)[2].rpartition(".")[2]
+    return GATE_POLICIES.get(leaf, THRESHOLD)
+
+
 def check_gates(
     rows: Sequence[dict],
     gates: Sequence[str],
     threshold: float = DEFAULT_GATE_THRESHOLD,
 ) -> List[str]:
-    """Regression messages for each gated metric; empty means pass.
+    """Regression messages for every metric a gate selects; empty means pass.
 
-    A gate fires when ``b > a * (1 + threshold)`` — higher is worse for
-    everything worth gating (latency, wall time, retries, disk peaks).
-    A gated metric missing from either side fires too: a gate that
-    cannot read its metric must fail loudly, not pass silently.
+    ``gates`` are shell-style patterns over the metric names (``'*'``
+    gates every metric, ``'R-tree@2MB/*'`` one BENCH cell); each selected
+    metric is checked under its :func:`gate_policy`.  Threshold metrics
+    fail when ``b > a * (1 + threshold)`` — higher is worse for latency,
+    retries and disk peaks.  A gate that selects nothing fails, and so
+    does a selected metric missing from either side: a gate that cannot
+    read its metric must fail loudly, not pass silently.  A BENCH cell
+    present on one side only fails once, by name.
     """
-    by_metric = {row["metric"]: row for row in rows}
     failures: List[str] = []
+    selected: set = set()
     for gate in gates:
-        row = by_metric.get(gate)
-        if row is None or row.get("a") is None or row.get("b") is None:
+        matched = {row["metric"] for row in rows if fnmatchcase(row["metric"], gate)}
+        if not matched:
             failures.append(f"gate {gate}: metric missing from one side")
+        selected |= matched
+    cells_a, cells_b = (
+        {row["metric"].partition(CELL_SEPARATOR)[0]
+         for row in rows
+         if CELL_SEPARATOR in row["metric"] and row.get(side) is not None}
+        for side in ("a", "b")
+    )
+    one_sided_cells: set = set()
+    for row in rows:
+        metric, a, b = row["metric"], row.get("a"), row.get("b")
+        policy = gate_policy(metric)
+        if metric not in selected or policy == IGNORE:
             continue
-        limit = row["a"] * (1.0 + threshold)
-        if row["b"] > limit:
+        if a is None or b is None:
+            cell, separator, _ = metric.partition(CELL_SEPARATOR)
+            if separator and not (cell in cells_a and cell in cells_b):
+                if cell not in one_sided_cells:
+                    one_sided_cells.add(cell)
+                    failures.append(
+                        f"cell {cell}: present in {'b' if a is None else 'a'} only"
+                    )
+            else:
+                failures.append(f"gate {metric}: metric missing from one side")
+        elif policy == EXACT:
+            if a != b:
+                failures.append(
+                    f"gate {metric}: {_fmt_num(a)} -> {_fmt_num(b)} "
+                    "(exact: must not change)"
+                )
+        elif policy == TOLERANCE:
+            if (b != a) if a == 0 else abs(b - a) / abs(a) > IO_S_TOLERANCE:
+                failures.append(
+                    f"gate {metric}: {_fmt_num(a)} -> {_fmt_num(b)} drifts "
+                    f"more than {IO_S_TOLERANCE:.0%} either way"
+                )
+        elif b > a * (1.0 + threshold):
             failures.append(
-                f"gate {gate}: {_fmt_num(row['b'])} exceeds "
-                f"{_fmt_num(row['a'])} by more than {threshold:.0%}"
+                f"gate {metric}: {_fmt_num(b)} exceeds "
+                f"{_fmt_num(a)} by more than {threshold:.0%}"
             )
     return failures
 
@@ -486,6 +581,8 @@ def fit_trend(values: Sequence[float]) -> dict:
 def _fmt_num(value) -> str:
     if value is None:
         return "-"
+    if isinstance(value, str):
+        return value
     number = float(value)
     if number == int(number) and abs(number) < 1e15:
         return str(int(number))
@@ -529,16 +626,17 @@ def render_show(record: RunRecord) -> str:
 
 
 def render_compare(a: RunRecord, b: RunRecord, rows: Sequence[dict]) -> str:
+    width = max([32] + [len(row["metric"]) for row in rows])
     lines = [
         "# runs compare",
         f"a: {a.run_id} ({a.kind})",
         f"b: {b.run_id} ({b.kind})",
         "",
-        f"{'metric':<32} {'a':>14} {'b':>14} {'delta':>14} {'ratio':>8}",
+        f"{'metric':<{width}} {'a':>14} {'b':>14} {'delta':>14} {'ratio':>8}",
     ]
     for row in rows:
         lines.append(
-            f"{row['metric']:<32} {_fmt_num(row.get('a')):>14} "
+            f"{row['metric']:<{width}} {_fmt_num(row.get('a')):>14} "
             f"{_fmt_num(row.get('b')):>14} {_fmt_num(row.get('delta')):>14} "
             f"{_fmt_num(row.get('ratio')):>8}"
         )

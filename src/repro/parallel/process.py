@@ -210,12 +210,10 @@ class RunPoolProvider:
         initializer=None,
         initargs: tuple = (),
     ) -> ProcessPoolExecutor:
-        if initializer is not None:
-            return ProcessPoolExecutor(
-                max_workers=max_workers, mp_context=context,
-                initializer=initializer, initargs=initargs,
-            )
-        return ProcessPoolExecutor(max_workers=max_workers, mp_context=context)
+        return ProcessPoolExecutor(
+            max_workers=max_workers, mp_context=context,
+            initializer=initializer, initargs=initargs,
+        )
 
     def discard(self, pool: ProcessPoolExecutor) -> None:
         """Drop a broken or wedged pool without waiting on its workers."""
@@ -237,7 +235,6 @@ class ProcessPBSM:
         config: Optional[PBSMConfig] = None,
         memory_bytes: int = DEFAULT_TASK_MEMORY,
         start_method: Optional[str] = None,
-        spill_dir: Optional[str] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         journal=NULL_JOURNAL,
@@ -246,7 +243,6 @@ class ProcessPBSM:
         task_timeout_s: Optional[float] = None,
         deadline_s: Optional[float] = None,
         max_task_retries: int = DEFAULT_MAX_TASK_RETRIES,
-        retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
         degrade_on_failure: bool = True,
         checkpoint_dir: Optional[str] = None,
         kill_coordinator_after: Optional[int] = None,
@@ -263,7 +259,6 @@ class ProcessPBSM:
         self.num_partitions = num_partitions or workers * DEFAULT_TASKS_PER_WORKER
         self.memory_bytes = memory_bytes
         self.start_method = start_method or os.environ.get(START_METHOD_ENV)
-        self.spill_dir = spill_dir
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.journal = journal
@@ -290,7 +285,6 @@ class ProcessPBSM:
         if max_task_retries < 0:
             raise ValueError("retry budget cannot be negative")
         self.max_task_retries = max_task_retries
-        self.retry_backoff_s = retry_backoff_s
         self.degrade_on_failure = degrade_on_failure
         self.checkpoint_dir = checkpoint_dir
         """Directory for durable run state (manifest, result log, spills);
@@ -602,9 +596,7 @@ class ProcessPBSM:
             store.begin(manifest)
             spill_root = str(store.spill_dir)
         else:
-            spill_root = tempfile.mkdtemp(
-                prefix="repro-pbsm-", dir=self.spill_dir
-            )
+            spill_root = tempfile.mkdtemp(prefix="repro-pbsm-")
         self._active_store = store
 
         spills_r: SideSpills = []
@@ -1307,7 +1299,7 @@ class ProcessPBSM:
                 self._count("retry_exhausted")
                 return
             self._count("retries")
-            backoff = self.retry_backoff_s * (2 ** (attempt - 1))
+            backoff = DEFAULT_RETRY_BACKOFF_S * (2 ** (attempt - 1))
             backoff_hist.observe(backoff)
             journal.emit(
                 EVENT_RETRY,
@@ -1352,14 +1344,14 @@ class ProcessPBSM:
                         abandon_pool()
                     raise error
                 if pool is None:
-                    if heartbeats is not None:
-                        pool = provider.acquire(
-                            max_workers, context,
-                            initializer=init_worker_heartbeats,
-                            initargs=(heartbeats,),
-                        )
-                    else:
-                        pool = provider.acquire(max_workers, context)
+                    pool = provider.acquire(
+                        max_workers, context,
+                        initializer=(
+                            None if heartbeats is None
+                            else init_worker_heartbeats
+                        ),
+                        initargs=(heartbeats,),
+                    )
                 while to_submit:
                     index = to_submit.pop(0)
                     task = dataclasses.replace(

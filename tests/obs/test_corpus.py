@@ -10,6 +10,7 @@ from repro.obs.corpus import (
     compare_runs,
     find_record,
     fit_trend,
+    gate_policy,
     index_bench_file,
     index_engine_run,
     index_path,
@@ -147,6 +148,9 @@ class TestIndexers:
         bench = index_path(corpus_root / "BENCH_serve.json")
         assert bench.kind == "bench"
         assert bench.run_id == "BENCH_serve"
+        # BENCH metrics are keyed by their (algorithm, buffer_mb) cell.
+        assert bench.metrics["PBSM@4MB/counter.page_reads"] == 30
+        assert bench.metrics["PBSM@4MB/scale"] == 0.01
         with pytest.raises(CorpusError):
             index_path(corpus_root / "nowhere")
 
@@ -217,6 +221,43 @@ class TestCompareAndGates:
     def test_missing_gated_metric_fails_loudly(self):
         failures = check_gates([], ["latency_p50_s"])
         assert failures == ["gate latency_p50_s: metric missing from one side"]
+
+
+class TestGatePolicies:
+    def test_policy_comes_from_the_leaf_name(self):
+        assert gate_policy("R-tree@2MB/counter.page_reads") == "exact"
+        assert gate_policy("PBSM@0.5MB/phase.Refinement.seeks") == "exact"
+        assert gate_policy("benchmark") == "exact"
+        assert gate_policy("PBSM@0.5MB/phase.Refinement.io_s") == "tolerance"
+        assert gate_policy("PBSM@2MB/phase.Refinement.cpu_s") == "ignore"
+        assert gate_policy("PBSM@2MB/total_s") == "ignore"
+        assert gate_policy("latency_p50_s") == "threshold"
+        assert gate_policy("PBSM@2MB/faults.retries") == "threshold"
+
+    def test_patterns_select_metrics(self):
+        rows = [{"metric": "latency_p50_s", "a": 1.0, "b": 2.0},
+                {"metric": "latency_p95_s", "a": 1.0, "b": 1.0}]
+        assert check_gates(rows, ["latency_*", "latency_p50_s"]) == [
+            "gate latency_p50_s: 2 exceeds 1 by more than 10%"
+        ]
+        assert check_gates(rows, ["queue_*"]) == [
+            "gate queue_*: metric missing from one side"
+        ]
+
+    def test_exact_is_two_sided_threshold_is_not(self):
+        rows = [{"metric": "candidates", "a": 10, "b": 9},
+                {"metric": "latency_p50_s", "a": 1.0, "b": 0.5}]
+        assert check_gates(rows, ["*"]) == [
+            "gate candidates: 10 -> 9 (exact: must not change)"
+        ]
+
+    def test_duplicate_bench_cell_is_unusable(self, tmp_path):
+        doc = json.loads(json.dumps(BENCH_DOC))
+        doc["records"] = doc["records"] * 2
+        path = tmp_path / "BENCH_dup.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorpusError, match="duplicate cell PBSM@4MB"):
+            index_path(path)
 
 
 class TestFitTrend:

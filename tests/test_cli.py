@@ -512,6 +512,16 @@ class TestRunsCLI:
         assert [r["metric"] for r in rows] == ["latency_p50_s"]
         assert rows[0]["ratio"] == 2.0
 
+    def test_metric_filter_does_not_starve_the_gates(self, capsys, tmp_path):
+        # --metric limits what is printed; gates read the full diff.
+        run = write_serve_journal(tmp_path / "run", [0.1, 0.2])
+        assert main(["runs", "compare", str(run), str(run),
+                     "--metric", "latency_p50_s",
+                     "--gate", "queries_done"]) == 0
+        out = capsys.readouterr().out
+        assert "REGRESSION" not in out
+        assert "latency_p50_s" in out and "queries_done" not in out
+
     def test_compare_unusable_artifact_exits_2(self, capsys, tmp_path):
         fast = write_serve_journal(tmp_path / "fast", [0.1])
         assert main(["runs", "compare", str(fast),
